@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import os
 import resource
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -138,7 +139,10 @@ class _CpuTurns:
     Rotating every epoch, set-up and snapshot over all the CPUs the
     process may use makes each run sample all of them.  Process-executor
     runs are not pinned: their workers inherit the affinity mask at
-    spawn, and they already keep every CPU busy.
+    spawn, and they already keep every CPU busy.  Each serial epoch so
+    starts with the other CPU's data in its private caches, a cost the
+    process runs do not pay: the README's "Run hygiene" says what that
+    means for comparing the two.
     """
 
     def __init__(self, enabled: bool) -> None:
@@ -205,6 +209,70 @@ def _wait_exited(pids: List[int], timeout: float = 10.0) -> List[int]:
         if alive:
             time.sleep(0.05)
     return alive
+
+
+def _child_pids() -> List[int]:
+    """Pids of this process's children, zombies included."""
+    me = str(os.getpid())
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                # The command name may hold spaces: fields follow its ')'.
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[1] == me:
+            children.append(int(entry))
+    return children
+
+
+def stop_children(timeout: float = 10.0) -> List[int]:
+    """Stop and reap every child process; return those that were not ours.
+
+    The process executor's shared memory starts multiprocessing's
+    resource-tracker process, which otherwise outlives the benchmark by
+    a moment and is then never reaped.  It is stopped the way
+    multiprocessing stops it: close its pipe and wait for it.  Any
+    other child (there should be none once every fleet is shut down) is
+    terminated, killed after ``timeout`` seconds, reaped and returned.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    tracker_pid = getattr(tracker, "_pid", None)
+    if getattr(tracker, "_fd", None) is not None:
+        os.close(tracker._fd)
+        tracker._fd = None
+    strays = [pid for pid in _child_pids() if pid != tracker_pid]
+    for pid in strays:
+        try:
+            os.kill(pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+    deadline = time.monotonic() + timeout
+    pending = set(_child_pids())
+    while pending:
+        for pid in list(pending):
+            try:
+                done, _ = os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                done = pid
+            if done:
+                pending.discard(pid)
+        if pending and time.monotonic() > deadline:
+            for pid in pending:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            deadline = float("inf")
+        if pending:
+            time.sleep(0.02)
+    tracker._pid = None
+    return strays
 
 
 def run_workload(

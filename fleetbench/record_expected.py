@@ -2,10 +2,11 @@
 
 Usage (from the repository root)::
 
-    python3 fleetbench/record_expected.py --seeds 0-31 --seconds 20
+    python3 fleetbench/record_expected.py --seeds 0-31
 
-Runs each scenario once per seed on the serial executor and writes
-``fleetbench/expected/<scenario>.json``.  ``steady-serial`` and
+Runs each scenario once per seed on the serial executor, for as many
+epochs as a run of ``BENCHMARK.json``'s ``run_seconds`` times, and
+writes ``fleetbench/expected/<scenario>.json``.  ``steady-serial`` and
 ``service-process`` share the ``steady`` scenario (the process executor
 is bit-identical to serial), so only ``steady-serial`` and
 ``churn-interference`` are run.  Re-record only when a change is meant
@@ -16,6 +17,7 @@ must leave these files untouched.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -40,14 +42,13 @@ def _seeds(spec: str):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", required=True, help="e.g. 0-31 or 0,5,7")
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--workloads", default=",".join(RECORDED))
     args = parser.parse_args()
-    for name in args.workloads.split(","):
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    for name in RECORDED:
         workload = WORKLOADS[name]
         entries = {}
         for seed in _seeds(args.seeds):
-            result = run_workload(workload, seed, args.seconds, setups=1, snapshots=0)
+            result = run_workload(workload, seed, seconds, setups=1, snapshots=0)
             if not result.correct:
                 print(f"{name} seed {seed}: run failed, not recorded", file=sys.stderr)
                 return 1

@@ -159,34 +159,10 @@ def _ratio(numerator, denominator) -> float:
     return float(numerator) / float(denominator) if denominator else 0.0
 
 
-def main(argv=None) -> int:
-    args = _parse(argv)
-    # A shell setting must not switch on telemetry or injected faults.
-    for name in ("REPRO_FLEET_PROFILE", "REPRO_FLEET_FAULT_PLAN"):
-        os.environ.pop(name, None)
-    _import_program()
-
+def _measure(args, workload, check):
+    """Run the workload once (``--trace 0``) or untraced then traced."""
     from fleetbench.harness import run_workload
-    from fleetbench.outputs import OutputCheck
     from fleetbench.tracing import PER_LAYER, Tracer, export_chrome_trace
-    from fleetbench.workloads import WORKLOADS
-
-    if args.workload not in WORKLOADS:
-        sys.exit(f"fleetbench: unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}")
-    workload = WORKLOADS[args.workload]
-    if args.scale == "tiny":
-        workload = workload.tiny()
-    epochs = workload.warmup_epochs + workload.epochs_for(args.seconds)
-
-    def check():
-        found = OutputCheck.load(workload.scenario_key, args.seed, epochs)
-        if not found.recorded:
-            print(
-                f"fleetbench: no recorded outputs for {workload.scenario_key} seed "
-                f"{args.seed} at {epochs} epochs; checking invariants only",
-                file=sys.stderr,
-            )
-        return found
 
     if args.trace:
         untraced = run_workload(workload, args.seed, args.seconds, setups=1, check=check())
@@ -220,9 +196,46 @@ def main(argv=None) -> int:
             f"({beyond} beyond p90), setups {[round(s, 3) for s in result.setup_seconds]} s"
         )
         runs = (result,)
+    return metrics, units, runs
 
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    # A shell setting must not switch on telemetry or injected faults.
+    for name in ("REPRO_FLEET_PROFILE", "REPRO_FLEET_FAULT_PLAN"):
+        os.environ.pop(name, None)
+    _import_program()
+
+    from fleetbench.harness import stop_children
+    from fleetbench.outputs import OutputCheck
+    from fleetbench.workloads import WORKLOADS
+
+    if args.workload not in WORKLOADS:
+        sys.exit(f"fleetbench: unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}")
+    workload = WORKLOADS[args.workload]
+    if args.scale == "tiny":
+        workload = workload.tiny()
+    epochs = workload.warmup_epochs + workload.epochs_for(args.seconds)
+
+    def check():
+        found = OutputCheck.load(workload.scenario_key, args.seed, epochs)
+        if not found.recorded:
+            print(
+                f"fleetbench: no recorded outputs for {workload.scenario_key} seed "
+                f"{args.seed} at {epochs} epochs; checking invariants only",
+                file=sys.stderr,
+            )
+        return found
+
+    try:
+        metrics, units, runs = _measure(args, workload, check)
+    finally:
+        # On every way out, including an exception from a run.
+        strays = stop_children()
+    if strays:
+        print(f"check: child processes left running: {strays}", file=sys.stderr)
     out = {
-        "correct": all(run.correct for run in runs),
+        "correct": not strays and all(run.correct for run in runs),
         "attempted": sum(run.attempted for run in runs),
         "failed": sum(run.failed for run in runs),
         "metrics": {name: {"value": metrics[name], "unit": unit} for name, unit in units.items()},

@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     DatacenterScenario,
+    FleetTimeline,
     InterferenceEpisode,
     churn_timeline,
     synthesize_datacenter,
@@ -187,14 +188,24 @@ def build_scenario(
     horizon = workload.warmup_epochs + timed_epochs
     timeline = None
     if workload.interference:
-        timeline = churn_timeline(
+        churn = churn_timeline(
             [f"shard{s}" for s in range(workload.num_shards)],
-            epochs=horizon,
+            epochs=timed_epochs,
             seed=seed,
             # Half of the ~1%/epoch churn budget arrives; lifetimes make
             # departures match it once the first tenants expire.
             arrivals_per_epoch=0.005 * workload.num_vms,
             mean_lifetime_epochs=30.0,
+        )
+        # Churn starts with the timed epochs, as the episodes do, so the
+        # warm-up epochs (part of ``setup_s``) are the same quiet learning
+        # phase for every seed.  Arrivals during warm-up made set-up time
+        # vary by a third between seeds.
+        timeline = FleetTimeline(
+            [
+                replace(event, epoch=event.epoch + workload.warmup_epochs)
+                for event in churn.events
+            ]
         )
     return synthesize_datacenter(
         workload.num_vms,
