@@ -1,7 +1,9 @@
 """Fleet-scale benchmarks: epoch engine, hardware substrate, parallelism.
 
-Three axes of the fleet hot loop are measured and recorded in
-``BENCH_fleet.json`` at the repository root:
+Three axes of the fleet hot loop are measured and, when
+``REPRO_BENCH_RECORD=1`` is set, recorded in ``BENCH_fleet.json`` at the
+repository root (without it every assertion still runs, but the
+recorded trajectory is left alone):
 
 * **engine** — the vectorized monitoring pass (:class:`MetricMatrix`)
   against the scalar per-VM reference loop (PR 1's benchmark);
@@ -104,11 +106,15 @@ MIN_SUBSTRATE_SPEEDUP = 5.0
 def _merge_bench_record(key: str, record: Dict) -> None:
     """Merge one benchmark section into ``BENCH_fleet.json``.
 
-    Every record is stamped with
+    Writes only when ``REPRO_BENCH_RECORD=1``: a plain test run still
+    makes every benchmark assertion but leaves the recorded trajectory
+    alone.  Every record is stamped with
     :func:`repro.fleet.benchutil.run_metadata` on the way in — the same
     provenance envelope the telemetry exporters use — so trajectories
     across commits/machines stay orderable.
     """
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
     data: Dict = {}
     if BENCH_PATH.exists():
         try:
@@ -407,12 +413,8 @@ def _run_process_comparison(
         # The remainder of ``single_s - serial_s`` on a 1-core runner is
         # the two processes evicting each other's caches on the shared
         # core every epoch — see the module docstring.
-        dispatch_s = float("inf")
         strategy = single._shard_strategy()
-        for _ in range(10):
-            start = time.perf_counter()
-            strategy.worker_pids()
-            dispatch_s = min(dispatch_s, time.perf_counter() - start)
+        dispatch_s = min(strategy.ping() for _ in range(10))
     finally:
         multi.shutdown()
         single.shutdown()

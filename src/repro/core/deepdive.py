@@ -13,8 +13,11 @@ exactly as in the paper.
 
 from __future__ import annotations
 
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.analyzer import AnalysisResult, InterferenceAnalyzer
 from repro.core.config import DeepDiveConfig
@@ -26,7 +29,13 @@ from repro.core.events import (
 )
 from repro.core.placement import PlacementDecision, PlacementManager
 from repro.core.repository import BehaviorRepository
-from repro.core.warning import WarningAction, WarningDecision, WarningSystem
+from repro.core.warning import (
+    DecisionBlock,
+    WarningAction,
+    WarningDecision,
+    WarningSystem,
+    normal_decision,
+)
 from repro.metrics.counters import COUNTER_NAMES, CounterSample
 from repro.metrics.cpi import CPIStackModel
 from repro.metrics.matrix import MetricMatrix
@@ -62,22 +71,120 @@ class VMObservation:
         return self.analysis is not None and self.analysis.confirmed
 
 
-@dataclass
+@dataclass(eq=False)
 class EpochReport:
-    """Everything DeepDive did in one monitoring epoch."""
+    """Everything DeepDive did in one monitoring epoch, as columns.
+
+    Row ``i`` of every array describes the epoch's ``i``-th observation,
+    ``vm_names[i]``, in deterministic placement order.  Only the rows
+    the action phase handled — those whose warning was not NORMAL —
+    hold a :class:`VMObservation`; :attr:`observations` builds the rest
+    on access, so a steady epoch creates no per-VM objects at all.
+    """
 
     epoch: int
-    observations: Dict[str, VMObservation] = field(default_factory=dict)
+    vm_names: Tuple[str, ...] = ()
+    app_ids: Tuple[str, ...] = ()
+    #: Index into :data:`repro.core.warning.ACTIONS` per observation.
+    action_codes: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int8)
+    )
+    #: Mahalanobis distance of each warning decision (inf without a model).
+    distances: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: Sibling VMs consulted / agreeing for the global check.
+    siblings_consulted: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int32)
+    )
+    siblings_agreeing: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int32)
+    )
+    #: Whether the analyzer ran for the observation.
+    analyzed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+    #: Whether interference was confirmed (analysis or known signature).
+    confirmed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+    #: Row -> observation for every non-NORMAL row.
+    flagged: Dict[int, VMObservation] = field(default_factory=dict)
+    _index: Optional[Dict[str, int]] = field(default=None, init=False, repr=False)
+
+    @property
+    def observations(self) -> "ObservationView":
+        """``vm name -> VMObservation`` in row order, built on access."""
+        return ObservationView(self)
+
+    def row_of(self, vm_name: str) -> int:
+        """The row of ``vm_name`` (``KeyError`` when not observed)."""
+        if self._index is None:
+            self._index = dict(zip(self.vm_names, range(len(self.vm_names))))
+        return self._index[vm_name]
+
+    def observation(self, row: int) -> VMObservation:
+        """Row ``row``'s observation (NORMAL rows are built on each call)."""
+        flagged = self.flagged.get(row)
+        if flagged is not None:
+            return flagged
+        vm_name = self.vm_names[row]
+        app_id = self.app_ids[row]
+        return VMObservation(
+            vm_name=vm_name,
+            app_id=app_id,
+            warning=normal_decision(
+                vm_name,
+                app_id,
+                self.distances[row],
+                self.siblings_consulted[row],
+            ),
+        )
 
     def analyzer_invocations(self) -> int:
-        return sum(1 for o in self.observations.values() if o.analysis is not None)
+        return int(np.count_nonzero(self.analyzed))
 
     def confirmed_interference(self) -> List[str]:
-        return [
-            name
-            for name, o in self.observations.items()
-            if o.interference_confirmed
-        ]
+        return [self.vm_names[i] for i in np.flatnonzero(self.confirmed).tolist()]
+
+
+class ObservationView(MappingABC):
+    """Read-only ``vm name -> VMObservation`` mapping over an epoch report."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: EpochReport) -> None:
+        self._report = report
+
+    def __getitem__(self, vm_name: str) -> VMObservation:
+        return self._report.observation(self._report.row_of(vm_name))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._report.vm_names)
+
+    def __len__(self) -> int:
+        return len(self._report.vm_names)
+
+
+#: One application's share of an epoch's decisions: the epoch rows its
+#: VMs occupy, its decision block, and the metric vectors of the block's
+#: non-NORMAL rows (what the action phase learns from or analyses).
+_AppDecisions = Tuple[np.ndarray, DecisionBlock, Dict[int, MetricVector]]
+
+
+@dataclass
+class _BatchPlan:
+    """Placement-derived layout of the batch engine's epoch.
+
+    Depends only on the placement and on which VMs the counter view
+    serves, so steady epochs reuse it and do no per-VM Python.
+    """
+
+    #: ``(placement signature, counter view VM names)`` it was built for.
+    key: tuple
+    #: Counter-view row of every placed VM the view serves, placement order.
+    rows: np.ndarray
+    names: Tuple[str, ...]
+    app_ids: Tuple[str, ...]
+    name_array: np.ndarray
+    app_array: np.ndarray
+    #: ``(app id, member indices into rows, member names)`` in order of
+    #: each application's first VM.
+    apps: List[Tuple[str, np.ndarray, Tuple[str, ...]]]
 
 
 class DeepDive:
@@ -162,6 +269,8 @@ class DeepDive:
         #: away, further migrations from that host in the same epoch
         #: would evict innocent VMs, so they are rate-limited.
         self._host_migration_epoch: Dict[str, int] = {}
+        #: The batch engine's cached epoch layout (see :class:`_BatchPlan`).
+        self._batch_plan: Optional[_BatchPlan] = None
 
     # ------------------------------------------------------------------
     # Monitoring plumbing
@@ -219,8 +328,9 @@ class DeepDive:
            application in the ``"batch"`` engine, per-VM in the
            ``"scalar"`` engine; both produce identical decisions).
         2. **Actions** — workload-change learning, known-interference
-           bookkeeping, analyzer invocations and mitigations run in
-           deterministic placement order.  Before paying an analyzer
+           bookkeeping, analyzer invocations and mitigations run for the
+           non-NORMAL rows in deterministic placement order (a NORMAL
+           row needs no action).  Before paying an analyzer
            run, the suspicion is re-checked against the *live*
            repository: an analysis earlier in the same epoch may already
            have certified the behaviour as normal (false alarm) or
@@ -246,7 +356,6 @@ class DeepDive:
         engine = engine or self.engine
         if engine not in ("batch", "scalar"):
             raise ValueError(f"unknown epoch engine {engine!r}")
-        report = EpochReport(epoch=self.current_epoch)
         if loads:
             for vm_name, load in loads.items():
                 self.observe_load(vm_name, load)
@@ -258,43 +367,41 @@ class DeepDive:
         # is nothing to suffer interference yet.
         # ------------------------------------------------------------------
         if engine == "batch":
-            # One columnar read serves the whole epoch: the cluster hands
-            # back every VM's newest counters and smoothing-window sum as
-            # two raw matrices (served directly from the batch substrate's
-            # per-epoch counter blocks when available).
-            view = self.cluster.counter_window_view(self.config.smoothing_epochs)
-            latest_inst = view.latest[:, _INST_RETIRED_COL]
-            eligible = [
-                vm_name
-                for vm_name in placement
-                if vm_name in view.index
-                and latest_inst[view.index[vm_name]] >= 1e3
-            ]
-            decisions, vectors = self._evaluate_epoch_batch(
-                placement, eligible, view
-            )
+            names, app_ids, parts = self._evaluate_epoch_batch(placement)
         else:
-            windows = self.cluster.counter_windows(self.config.smoothing_epochs)
-            latest_samples: Dict[str, CounterSample] = {
-                vm_name: window[-1] for vm_name, window in windows.items()
-            }
-            eligible = [
-                vm_name
-                for vm_name in placement
-                if vm_name in latest_samples
-                and latest_samples[vm_name].inst_retired >= 1e3
-            ]
-            decisions, vectors = self._evaluate_epoch_scalar(
-                placement, latest_samples, eligible
-            )
+            names, app_ids, parts = self._evaluate_epoch_scalar(placement)
+
+        # Scatter the per-application blocks into epoch rows (placement
+        # order); only the non-NORMAL rows go on to the action phase.
+        n = len(names)
+        report = EpochReport(
+            epoch=self.current_epoch,
+            vm_names=names,
+            app_ids=app_ids,
+            action_codes=np.empty(n, dtype=np.int8),
+            distances=np.empty(n, dtype=float),
+            siblings_consulted=np.empty(n, dtype=np.int32),
+            siblings_agreeing=np.empty(n, dtype=np.int32),
+            analyzed=np.zeros(n, dtype=bool),
+            confirmed=np.zeros(n, dtype=bool),
+        )
+        pending: List[Tuple[int, WarningDecision, MetricVector]] = []
+        for positions, block, vectors in parts:
+            report.action_codes[positions] = block.codes
+            report.distances[positions] = block.distances
+            report.siblings_consulted[positions] = block.siblings_consulted
+            report.siblings_agreeing[positions] = block.siblings_agreeing
+            for j in block.flagged_rows():
+                pending.append((int(positions[j]), block.decision(j), vectors[j]))
+        pending.sort(key=lambda item: item[0])
 
         # ------------------------------------------------------------------
         # Phase 2: act on the decisions in deterministic placement order.
+        # NORMAL rows need no action, so only the flagged rows are walked.
         # ------------------------------------------------------------------
-        for vm_name in eligible:
+        for row, decision, vector in pending:
+            vm_name = names[row]
             host_name, vm = placement[vm_name]
-            decision = decisions[vm_name]
-            vector = vectors[vm_name]
             observation = VMObservation(
                 vm_name=vm_name, app_id=vm.app_id, warning=decision
             )
@@ -327,21 +434,32 @@ class DeepDive:
                         observation.placement = self._mitigate(
                             host_name, observation.analysis
                         )
-            report.observations[vm_name] = observation
+            report.flagged[row] = observation
+            report.analyzed[row] = observation.analysis is not None
+            report.confirmed[row] = observation.interference_confirmed
 
         self.current_epoch += 1
         return report
 
     # ------------------------------------------------------------------
-    # Epoch engines
+    # Epoch engines: both return the eligible VM names and their
+    # applications in placement order plus one ``_AppDecisions`` per
+    # application, so the action phase above is shared.
     # ------------------------------------------------------------------
     def _evaluate_epoch_scalar(
-        self,
-        placement: Mapping[str, tuple],
-        latest_samples: Mapping[str, CounterSample],
-        eligible: Sequence[str],
-    ) -> tuple:
+        self, placement: Mapping[str, tuple]
+    ) -> Tuple[Tuple[str, ...], Tuple[str, ...], List[_AppDecisions]]:
         """The per-VM reference loop: one dict-driven evaluation per VM."""
+        windows = self.cluster.counter_windows(self.config.smoothing_epochs)
+        latest_samples: Dict[str, CounterSample] = {
+            vm_name: window[-1] for vm_name, window in windows.items()
+        }
+        eligible = [
+            vm_name
+            for vm_name in placement
+            if vm_name in latest_samples
+            and latest_samples[vm_name].inst_retired >= 1e3
+        ]
         latest_vectors: Dict[str, MetricVector] = {
             vm_name: MetricVector.from_sample(
                 latest_samples[vm_name], label=placement[vm_name][1].app_id
@@ -349,9 +467,8 @@ class DeepDive:
             for vm_name in placement
             if vm_name in latest_samples
         }
-        decisions: Dict[str, WarningDecision] = {}
-        vectors: Dict[str, MetricVector] = {}
-        for vm_name in eligible:
+        by_app: Dict[str, tuple] = {}
+        for row, vm_name in enumerate(eligible):
             host_name, vm = placement[vm_name]
             vector = self._smoothed_vector(host_name, vm_name, vm.app_id)
             siblings = {
@@ -361,63 +478,125 @@ class DeepDive:
                 and other_vm.app_id == vm.app_id
                 and other in latest_vectors
             }
-            decisions[vm_name] = self.warning_system.evaluate(
+            decision = self.warning_system.evaluate(
                 vm_name=vm_name,
                 app_id=vm.app_id,
                 vector=vector,
                 sibling_vectors=siblings,
             )
-            vectors[vm_name] = vector
-        return decisions, vectors
+            rows, decisions, vectors = by_app.setdefault(vm.app_id, ([], [], {}))
+            if decision.action is not WarningAction.NORMAL:
+                vectors[len(decisions)] = vector
+            rows.append(row)
+            decisions.append(decision)
+        parts = [
+            (
+                np.asarray(rows, dtype=np.intp),
+                DecisionBlock.from_decisions(app_id, decisions),
+                vectors,
+            )
+            for app_id, (rows, decisions, vectors) in by_app.items()
+        ]
+        app_ids = tuple(placement[vm_name][1].app_id for vm_name in eligible)
+        return tuple(eligible), app_ids, parts
+
+    def _plan_batch_epoch(
+        self, placement: Mapping[str, tuple], view: CounterWindowView
+    ) -> _BatchPlan:
+        """The cached :class:`_BatchPlan`, rebuilt when the placement or
+        the counter view's VM set changed."""
+        key = (self.cluster.placement_signature(), view.vm_names)
+        plan = self._batch_plan
+        if plan is not None and plan.key == key:
+            return plan
+        index = view.index
+        names: List[str] = []
+        app_ids: List[str] = []
+        rows: List[int] = []
+        members: Dict[str, List[int]] = {}
+        for vm_name, (_, vm) in placement.items():
+            row = index.get(vm_name)
+            if row is not None:
+                members.setdefault(vm.app_id, []).append(len(names))
+                names.append(vm_name)
+                app_ids.append(vm.app_id)
+                rows.append(row)
+        name_array = np.empty(len(names), dtype=object)
+        name_array[:] = names
+        app_array = np.empty(len(names), dtype=object)
+        app_array[:] = app_ids
+        plan = _BatchPlan(
+            key=key,
+            rows=np.asarray(rows, dtype=np.intp),
+            names=tuple(names),
+            app_ids=tuple(app_ids),
+            name_array=name_array,
+            app_array=app_array,
+            apps=[
+                (app_id, np.asarray(idx), tuple(name_array[idx].tolist()))
+                for app_id, idx in members.items()
+            ],
+        )
+        self._batch_plan = plan
+        return plan
 
     def _evaluate_epoch_batch(
-        self,
-        placement: Mapping[str, tuple],
-        eligible: Sequence[str],
-        view: CounterWindowView,
-    ) -> tuple:
+        self, placement: Mapping[str, tuple]
+    ) -> Tuple[Tuple[str, ...], Tuple[str, ...], List[_AppDecisions]]:
         """The vectorized engine: a handful of array ops per application.
 
-        Consumes the cluster's columnar counter view directly — the raw
-        window sums and latest samples are already matrices, so each
-        application's metric matrices are a row-gather plus one batch
-        normalisation, with no per-VM sample handling.
+        One columnar read serves the whole epoch: the cluster hands back
+        every VM's newest counters and smoothing-window sum as two raw
+        matrices (served directly from the batch substrate's per-epoch
+        counter blocks when available).  Each application's metric
+        matrices are then a row-gather plus one batch normalisation, and
+        its decisions come back as one :class:`DecisionBlock`.
         """
-        by_app: Dict[str, List[str]] = {}
-        for vm_name in eligible:
-            by_app.setdefault(placement[vm_name][1].app_id, []).append(vm_name)
-        # Sibling pools, grouped in one pass over the placement (pool
-        # order = placement order, matching the scalar sibling dicts).
-        pool_by_app: Dict[str, List[str]] = {}
-        for vm_name, (_, vm) in placement.items():
-            if vm_name in view.index:
-                pool_by_app.setdefault(vm.app_id, []).append(vm_name)
+        view = self.cluster.counter_window_view(self.config.smoothing_epochs)
+        plan = self._plan_batch_epoch(placement, view)
+        eligible = view.latest[plan.rows, _INST_RETIRED_COL] >= 1e3
+        everyone = bool(eligible.all())
+        if everyone:
+            names, app_ids = plan.names, plan.app_ids
+        else:
+            served = np.flatnonzero(eligible)
+            names = tuple(plan.name_array[served].tolist())
+            app_ids = tuple(plan.app_array[served].tolist())
+            epoch_row = np.cumsum(eligible) - 1
+        # Sibling pools hold every served VM of the application (pool
+        # order = placement order, matching the scalar sibling dicts);
+        # the evaluated rows are its eligible members.
+        groups = []
+        for app_id, members, member_names in plan.apps:
+            own, own_names, positions = members, member_names, members
+            if not everyone:
+                own = members[eligible[members]]
+                if not own.size:
+                    continue
+                own_names = tuple(plan.name_array[own].tolist())
+                positions = epoch_row[own]
+            groups.append((positions, app_id, own, own_names, members, member_names))
+        # Applications in order of their first eligible VM.
+        groups.sort(key=lambda group: int(group[0][0]))
 
-        decisions: Dict[str, WarningDecision] = {}
-        vectors: Dict[str, MetricVector] = {}
-        for app_id, vm_names in by_app.items():
-            own_rows = [view.index[vm_name] for vm_name in vm_names]
+        parts: List[_AppDecisions] = []
+        for positions, app_id, own_idx, own_names, pool_idx, pool_names in groups:
             own = MetricMatrix(
-                array=normalize_counter_matrix(view.window_sum[own_rows]),
-                vm_names=tuple(vm_names),
-                labels=tuple(app_id for _ in vm_names),
+                array=normalize_counter_matrix(view.window_sum[plan.rows[own_idx]]),
+                vm_names=own_names,
+                labels=(app_id,) * len(own_names),
             )
-            pool_names = pool_by_app.get(app_id, [])
-            pool_rows = [view.index[vm_name] for vm_name in pool_names]
             pool = MetricMatrix(
-                array=normalize_counter_matrix(view.latest[pool_rows]),
-                vm_names=tuple(pool_names),
-                labels=tuple(app_id for _ in pool_names),
+                array=normalize_counter_matrix(view.latest[plan.rows[pool_idx]]),
+                vm_names=pool_names,
+                labels=(app_id,) * len(pool_names),
             )
-            decisions.update(self.warning_system.evaluate_batch(app_id, own, pool))
-            # Materialise the scalar vectors only for rows that may need
-            # them in the action phase (learning / analyzer triggering).
-            for vm_name in vm_names:
-                if decisions[vm_name].action is not WarningAction.NORMAL:
-                    vectors[vm_name] = own.vector(vm_name)
-                else:
-                    vectors[vm_name] = None  # never consumed for NORMAL rows
-        return decisions, vectors
+            block = self.warning_system.evaluate_batch(app_id, own, pool)
+            # Scalar vectors only for the rows the action phase may need
+            # (learning / analyzer triggering).
+            vectors = {j: own.vector(own_names[j]) for j in block.flagged_rows()}
+            parts.append((positions, block, vectors))
+        return names, app_ids, parts
 
     # ------------------------------------------------------------------
     def _smoothed_vector(

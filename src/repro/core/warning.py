@@ -20,8 +20,9 @@ accelerates the learning of the normal-behaviour set.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +100,133 @@ class WarningDecision:
     def flags_interference(self) -> bool:
         """True when the decision itself already identifies interference."""
         return self.action is WarningAction.KNOWN_INTERFERENCE
+
+
+#: Warning actions in code order: a decision block's ``codes[i]`` is an
+#: index into this tuple (``NORMAL`` is code 0).
+ACTIONS: Tuple[WarningAction, ...] = tuple(WarningAction)
+ACTION_CODES: Dict[WarningAction, int] = {a: i for i, a in enumerate(ACTIONS)}
+NORMAL_CODE = ACTION_CODES[WarningAction.NORMAL]
+
+
+def normal_decision(
+    vm_name: str, app_id: str, distance: float, siblings_consulted: int
+) -> WarningDecision:
+    """The NORMAL verdict, field for field what :meth:`WarningSystem.evaluate`
+    returns when a behaviour matches a known normal cluster."""
+    return WarningDecision(
+        action=WarningAction.NORMAL,
+        vm_name=vm_name,
+        app_id=app_id,
+        distance=float(distance),
+        conservative=False,
+        reason=_REASON_NORMAL,
+        siblings_consulted=int(siblings_consulted),
+    )
+
+
+class DecisionBlock(MappingABC):
+    """One application's warning decisions for one epoch, as arrays.
+
+    Row ``i`` describes ``vm_names[i]``: its action code (an index into
+    :data:`ACTIONS`), Mahalanobis distance and sibling counts.  Only the
+    non-NORMAL rows — deviations, usually none at steady state — carry a
+    :class:`WarningDecision` object; a NORMAL row's decision is built on
+    access, equal to the scalar :meth:`WarningSystem.evaluate` result.
+    Read as a ``vm name -> WarningDecision`` mapping it is
+    indistinguishable from the per-VM dict the batch path used to build.
+    """
+
+    __slots__ = (
+        "app_id",
+        "vm_names",
+        "codes",
+        "distances",
+        "siblings_consulted",
+        "siblings_agreeing",
+        "_flagged",
+        "_index",
+    )
+
+    def __init__(
+        self,
+        app_id: str,
+        vm_names: Tuple[str, ...],
+        codes: np.ndarray,
+        distances: np.ndarray,
+        siblings_consulted: np.ndarray,
+        siblings_agreeing: np.ndarray,
+        flagged: Dict[int, WarningDecision],
+    ) -> None:
+        self.app_id = app_id
+        self.vm_names = vm_names
+        self.codes = codes
+        self.distances = distances
+        self.siblings_consulted = siblings_consulted
+        self.siblings_agreeing = siblings_agreeing
+        #: Row -> decision for every non-NORMAL row.
+        self._flagged = flagged
+        self._index: Optional[Dict[str, int]] = None
+
+    @classmethod
+    def from_decisions(
+        cls, app_id: str, decisions: Sequence[WarningDecision]
+    ) -> "DecisionBlock":
+        """Pack per-VM decisions (the scalar engine's) into a block."""
+        n = len(decisions)
+        codes = np.fromiter(
+            (ACTION_CODES[d.action] for d in decisions), dtype=np.int8, count=n
+        )
+        return cls(
+            app_id=app_id,
+            vm_names=tuple(d.vm_name for d in decisions),
+            codes=codes,
+            distances=np.fromiter(
+                (d.distance for d in decisions), dtype=float, count=n
+            ),
+            siblings_consulted=np.fromiter(
+                (d.siblings_consulted for d in decisions), dtype=np.int32, count=n
+            ),
+            siblings_agreeing=np.fromiter(
+                (d.siblings_agreeing for d in decisions), dtype=np.int32, count=n
+            ),
+            flagged={
+                i: d for i, d in enumerate(decisions) if codes[i] != NORMAL_CODE
+            },
+        )
+
+    def flagged_rows(self) -> List[int]:
+        """The non-NORMAL rows, ascending."""
+        return sorted(self._flagged)
+
+    def decision(self, row: int) -> WarningDecision:
+        """Row ``row``'s decision (NORMAL rows are built on each call)."""
+        flagged = self._flagged.get(row)
+        if flagged is not None:
+            return flagged
+        return normal_decision(
+            self.vm_names[row],
+            self.app_id,
+            self.distances[row],
+            self.siblings_consulted[row],
+        )
+
+    def __getitem__(self, vm_name: str) -> WarningDecision:
+        if self._index is None:
+            self._index = dict(zip(self.vm_names, range(len(self.vm_names))))
+        return self.decision(self._index[vm_name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.vm_names)
+
+    def __len__(self) -> int:
+        return len(self.vm_names)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"DecisionBlock(app_id={self.app_id!r}, rows={len(self)}, "
+            f"flagged={len(self._flagged)})"
+        )
 
 
 class WarningSystem:
@@ -230,7 +358,7 @@ class WarningSystem:
         app_id: str,
         own: MetricMatrix,
         sibling_pool: Optional[MetricMatrix] = None,
-    ) -> Dict[str, WarningDecision]:
+    ) -> DecisionBlock:
         """Run Algorithm 1 for every VM of one application at once.
 
         Parameters
@@ -244,61 +372,77 @@ class WarningSystem:
             (usually a superset of ``own``'s VMs; a VM is never treated
             as its own sibling).
 
-        Returns one :class:`WarningDecision` per row, equal — action,
-        distance, violated dimensions, sibling counts and reason — to
-        what :meth:`evaluate` returns for the corresponding scalar call.
+        Returns a :class:`DecisionBlock` with one row per row of ``own``.
+        Each row's decision — action, distance, violated dimensions,
+        sibling counts and reason — equals what :meth:`evaluate` returns
+        for the corresponding scalar call.  Decision objects are built
+        only for the non-NORMAL rows.
         """
-        decisions: Dict[str, WarningDecision] = {}
         n = len(own)
-        if n == 0:
-            return decisions
-        self.evaluations[app_id] = self.evaluations.get(app_id, 0) + n
         pool = sibling_pool if sibling_pool is not None else MetricMatrix.empty()
         m = len(pool)
-        sib_counts = [m - 1 if name in pool else m for name in own.vm_names]
+        consulted = np.full(n, m, dtype=np.int32)
+        if own.vm_names == pool.vm_names:
+            consulted -= 1
+        elif m:
+            consulted -= np.fromiter(
+                (name in pool for name in own.vm_names), dtype=np.int32, count=n
+            )
+        codes = np.zeros(n, dtype=np.int8)
+        agreeing = np.zeros(n, dtype=np.int32)
+        flagged: Dict[int, WarningDecision] = {}
+        # The block shares these arrays and the dict; they are filled in
+        # place below.
+        block = DecisionBlock(
+            app_id,
+            own.vm_names,
+            codes,
+            np.full(n, np.inf),
+            consulted,
+            agreeing,
+            flagged,
+        )
+        if n == 0:
+            return block
+        self.evaluations[app_id] = self.evaluations.get(app_id, 0) + n
 
         # Conservative mode: no model yet (or too few behaviours).
         if not self.repository.has_model(app_id):
+            codes[:] = ACTION_CODES[WarningAction.ANALYZE]
             for i, name in enumerate(own.vm_names):
-                decisions[name] = WarningDecision(
+                flagged[i] = WarningDecision(
                     action=WarningAction.ANALYZE,
                     vm_name=name,
                     app_id=app_id,
                     distance=float("inf"),
                     conservative=True,
                     reason=_REASON_CONSERVATIVE,
-                    siblings_consulted=sib_counts[i],
+                    siblings_consulted=int(consulted[i]),
                 )
-            return decisions
+            return block
 
         # Local check, one matrix op for the whole epoch.
         acceptance_radius = self.repository.acceptance_radius()
         distances = self.repository.distance_batch(app_id, own.array)
-        normal = distances <= acceptance_radius
-        deviating = np.flatnonzero(~normal)
+        block.distances = distances
+        deviating = np.flatnonzero(~(distances <= acceptance_radius))
+        if deviating.size == 0:
+            return block
 
         # Per-dimension MT violations, only for the deviating rows.
-        thresholds = self.repository.thresholds(app_id)
-        violated: Dict[int, Tuple[str, ...]] = {}
-        if thresholds is not None and deviating.size:
-            rows = own.array[deviating]
-            for idx, dims in zip(
-                deviating, self._violated_dimensions_batch(app_id, rows)
-            ):
-                violated[int(idx)] = dims
+        rows = own.array[deviating]
+        violated: List[Tuple[str, ...]] = [() for _ in range(deviating.size)]
+        if self.repository.thresholds(app_id) is not None:
+            violated = self._violated_dimensions_batch(app_id, rows)
 
         # Known-interference signatures, batched over the deviating rows.
-        known = np.zeros(n, dtype=bool)
-        if deviating.size:
-            known[deviating] = self.repository.matches_interference_batch(
-                app_id, own.array[deviating]
-            )
+        known = self.repository.matches_interference_batch(app_id, rows)
 
         # Global check: deviating, unknown rows with at least one sibling.
         need_global = [
             int(i)
-            for i in deviating
-            if not known[i] and sib_counts[i] > 0
+            for i, is_known in zip(deviating, known)
+            if not is_known and consulted[i] > 0
         ]
         agreeing_counts = np.zeros(n, dtype=int)
         if need_global and m > 0:
@@ -309,60 +453,36 @@ class WarningSystem:
                 own, pool, need_global, pool_deviates
             )
 
-        for i, name in enumerate(own.vm_names):
-            consulted = sib_counts[i]
-            if normal[i]:
-                decisions[name] = WarningDecision(
-                    action=WarningAction.NORMAL,
-                    vm_name=name,
-                    app_id=app_id,
-                    distance=float(distances[i]),
-                    conservative=False,
-                    reason=_REASON_NORMAL,
-                    siblings_consulted=consulted,
-                )
-                continue
-            dims = violated.get(i, ())
-            if known[i]:
-                decisions[name] = WarningDecision(
-                    action=WarningAction.KNOWN_INTERFERENCE,
-                    vm_name=name,
-                    app_id=app_id,
-                    distance=float(distances[i]),
-                    conservative=False,
-                    reason=_REASON_KNOWN_INTERFERENCE,
-                    violated_dimensions=dims,
-                    siblings_consulted=consulted,
-                )
-                continue
-            agreeing = int(agreeing_counts[i])
-            if consulted > 0:
-                quorum = max(1, int(np.ceil(self.config.global_quorum * consulted)))
-                if agreeing >= quorum:
-                    decisions[name] = WarningDecision(
-                        action=WarningAction.WORKLOAD_CHANGE,
-                        vm_name=name,
-                        app_id=app_id,
-                        distance=float(distances[i]),
-                        conservative=False,
-                        reason=_reason_workload_change(agreeing, consulted),
-                        violated_dimensions=dims,
-                        siblings_consulted=consulted,
-                        siblings_agreeing=agreeing,
-                    )
-                    continue
-            decisions[name] = WarningDecision(
-                action=WarningAction.ANALYZE,
+        for k, i in enumerate(deviating.tolist()):
+            name = own.vm_names[i]
+            sibs = int(consulted[i])
+            if known[k]:
+                action = WarningAction.KNOWN_INTERFERENCE
+                reason = _REASON_KNOWN_INTERFERENCE
+                agree = 0
+            else:
+                action = WarningAction.ANALYZE
+                reason = _REASON_ANALYZE
+                agree = int(agreeing_counts[i])
+                if sibs > 0:
+                    quorum = max(1, int(np.ceil(self.config.global_quorum * sibs)))
+                    if agree >= quorum:
+                        action = WarningAction.WORKLOAD_CHANGE
+                        reason = _reason_workload_change(agree, sibs)
+            flagged[i] = WarningDecision(
+                action=action,
                 vm_name=name,
                 app_id=app_id,
                 distance=float(distances[i]),
                 conservative=False,
-                reason=_REASON_ANALYZE,
-                violated_dimensions=dims,
-                siblings_consulted=consulted,
-                siblings_agreeing=agreeing,
+                reason=reason,
+                violated_dimensions=violated[k],
+                siblings_consulted=sibs,
+                siblings_agreeing=agree,
             )
-        return decisions
+            codes[i] = ACTION_CODES[action]
+            agreeing[i] = agree
+        return block
 
     def _violated_dimensions_batch(
         self, app_id: str, rows: np.ndarray

@@ -37,6 +37,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import time
 import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.warning import WarningAction
+from repro.core.warning import ACTIONS
 from repro.fleet.faults import FaultPlan
 from repro.fleet.shm import (
     ShmBlockReader,
@@ -78,9 +79,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
 #: Stable warning-action code table shared by parent and workers (the
-#: decision arrays store indices into this tuple).
-WARNING_ACTIONS: Tuple[str, ...] = tuple(action.value for action in WarningAction)
-_ACTION_INDEX: Dict[str, int] = {value: i for i, value in enumerate(WARNING_ACTIONS)}
+#: decision arrays store indices into this tuple — the same codes as
+#: :data:`repro.core.warning.ACTIONS`).
+WARNING_ACTIONS: Tuple[str, ...] = tuple(action.value for action in ACTIONS)
+
+
+def count_histogram(counts: np.ndarray) -> Dict[str, int]:
+    """Per-action counts (:data:`WARNING_ACTIONS` order) as a name ->
+    count dict of the actions that occurred."""
+    return {
+        WARNING_ACTIONS[i]: int(count)
+        for i, count in enumerate(counts.tolist())
+        if count
+    }
 
 
 def apply_stress_schedule(
@@ -146,13 +157,14 @@ class ColumnarShardReport:
     #: Whether interference was confirmed (analysis or known signature).
     confirmed: np.ndarray
     #: Sum of the shard's raw counter block for the epoch (Table-1
-    #: column order), read straight from the hosts' counter-store rings.
+    #: column order), over the hosts that hold VMs when the report is
+    #: built (:func:`_shard_counter_totals`).
     #: Contract: a shard whose hosts hold **no resident VMs at all**
     #: (mass departures, full drain) reports an explicit **all-zeros
     #: row** — the telemetry is present and genuinely zero.  ``None``
     #: means the telemetry is **unavailable**: at least one populated
-    #: host has no resident batch counter block (scalar substrate, or a
-    #: scalar epoch flushed the ring).  Fleet-level aggregation skips
+    #: host has no batch counter block (scalar substrate, or a host
+    #: added since the last batch step).  Fleet-level aggregation skips
     #: unavailable shards instead of discarding the fleet total (see
     #: :meth:`ColumnarFleetReport.counter_totals`).
     counter_totals: Optional[np.ndarray] = None
@@ -176,12 +188,7 @@ class ColumnarShardReport:
         return np.bincount(self.action_codes, minlength=len(WARNING_ACTIONS))
 
     def action_histogram(self) -> Dict[str, int]:
-        counts = self.action_counts()
-        return {
-            WARNING_ACTIONS[i]: int(count)
-            for i, count in enumerate(counts.tolist())
-            if count
-        }
+        return count_histogram(self.action_counts())
 
 
 @dataclass
@@ -230,12 +237,7 @@ class ColumnarFleetReport:
         return counts
 
     def action_histogram(self) -> Dict[str, int]:
-        counts = self.action_counts()
-        return {
-            WARNING_ACTIONS[i]: int(count)
-            for i, count in enumerate(counts.tolist())
-            if count
-        }
+        return count_histogram(self.action_counts())
 
     def counter_totals(self) -> Optional[np.ndarray]:
         """Fleet-wide raw counter sums over shards with telemetry.
@@ -261,54 +263,39 @@ def _shard_counter_totals(shard: "FleetShard") -> Optional[np.ndarray]:
     See :attr:`ColumnarShardReport.counter_totals` for the contract:
     hosts without resident VMs contribute nothing (a fully emptied-out
     shard is an explicit all-zeros row, not "unavailable"), while a
-    *populated* host without a resident batch counter block — the
-    scalar substrate's steady state — makes the shard's telemetry
+    *populated* host without a counter block from the latest batch step
+    — the scalar substrate's steady state — makes the shard's telemetry
     unavailable.
+
+    Computed from the batch step's counter block
+    (:meth:`~repro.virt.cluster.Cluster.step_host_sums`): each host's
+    rows summed in row order, the host sums then folded in host order —
+    bit-identical to adding up every populated host's ring block one by
+    one, since the zero sums of empty hosts add nothing.
     """
-    populated = [host for host in shard.cluster.hosts.values() if host.vms]
-    if not populated:
+    step = shard.cluster.step_host_sums()
+    if step is None:
+        return None
+    sums, populated = step
+    if not populated.any():
         return np.zeros(N_COUNTERS, dtype=float)
-    total = np.zeros(N_COUNTERS, dtype=float)
-    for host in populated:
-        latest = host.counter_store.latest_block()
-        if latest is None:
-            return None
-        total += latest.sum(axis=0)
-    return total
+    return np.cumsum(sums, axis=0)[-1]
 
 
 def columnar_from_report(
     shard_id: str, epoch: int, report: "EpochReport", shard: "FleetShard"
 ) -> ColumnarShardReport:
-    """Flatten one shard's :class:`EpochReport` into decision arrays."""
-    observations = report.observations
-    n = len(observations)
-    vm_names: List[str] = []
-    action_codes = np.empty(n, dtype=np.int8)
-    distances = np.empty(n, dtype=float)
-    siblings_consulted = np.empty(n, dtype=np.int32)
-    siblings_agreeing = np.empty(n, dtype=np.int32)
-    analyzed = np.zeros(n, dtype=bool)
-    confirmed = np.zeros(n, dtype=bool)
-    for i, (vm_name, obs) in enumerate(observations.items()):
-        vm_names.append(vm_name)
-        warning = obs.warning
-        action_codes[i] = _ACTION_INDEX[warning.action.value]
-        distances[i] = warning.distance
-        siblings_consulted[i] = warning.siblings_consulted
-        siblings_agreeing[i] = warning.siblings_agreeing
-        analyzed[i] = obs.analysis is not None
-        confirmed[i] = obs.interference_confirmed
+    """One shard's :class:`EpochReport` columns as a columnar report."""
     return ColumnarShardReport(
         shard_id=shard_id,
         epoch=epoch,
-        vm_names=tuple(vm_names),
-        action_codes=action_codes,
-        distances=distances,
-        siblings_consulted=siblings_consulted,
-        siblings_agreeing=siblings_agreeing,
-        analyzed=analyzed,
-        confirmed=confirmed,
+        vm_names=report.vm_names,
+        action_codes=report.action_codes,
+        distances=report.distances,
+        siblings_consulted=report.siblings_consulted,
+        siblings_agreeing=report.siblings_agreeing,
+        analyzed=report.analyzed,
+        confirmed=report.confirmed,
         counter_totals=_shard_counter_totals(shard),
     )
 
@@ -429,10 +416,18 @@ def _shard_epoch(
     report: str,
     telemetry: Union[TelemetryRegistry, WorkerSpanBuffer, None] = None,
 ) -> ShardEpochResult:
-    epoch_report = shard.run_epoch(analyze=analyze, telemetry=telemetry, epoch=epoch)
     if report == "full":
-        return epoch_report
-    return columnar_from_report(shard_id, epoch, epoch_report, shard)
+        return shard.run_epoch(analyze=analyze, telemetry=telemetry, epoch=epoch)
+    # The columnar report (and the shard's counter totals) is built
+    # inside the shard's monitor span.
+    return shard.run_epoch(
+        analyze=analyze,
+        telemetry=telemetry,
+        epoch=epoch,
+        build=lambda epoch_report: columnar_from_report(
+            shard_id, epoch, epoch_report, shard
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1145,6 +1140,24 @@ class ProcessShardExecutor:
         # Respawned-from-template workers must repeat the bootstrap
         # before replay, or their repositories diverge from the run.
         self._bootstrapped = True
+
+    def ping(self) -> float:
+        """Seconds for one no-op task to go through every worker's pool.
+
+        The task is submitted to all live workers at once and carries no
+        payload, so this is the pure dispatch round trip (pipe, worker
+        wake-up, reply) without shard work or shared-memory traffic.
+        """
+        pools = self._ensure_started()
+        start = time.perf_counter()
+        futures = [
+            pool.submit(_worker_ready)
+            for index, pool in enumerate(pools)
+            if index not in self._quarantined
+        ]
+        if not all(future.result() for future in futures):
+            raise RuntimeError("a fleet worker lost its shard state")
+        return time.perf_counter() - start
 
     def worker_pids(self) -> List[int]:
         """One resident worker pid per shard group (spawning if needed)."""

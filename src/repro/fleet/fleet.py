@@ -27,14 +27,18 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
+
+import numpy as np
 
 from repro.core.config import DeepDiveConfig
 from repro.core.deepdive import DeepDive, EpochReport
@@ -46,8 +50,10 @@ from repro.fleet.checkpoint import (
 )
 from repro.fleet.executor import (
     EXECUTOR_KINDS,
+    WARNING_ACTIONS,
     ColumnarFleetReport,
     ProcessShardExecutor,
+    count_histogram,
     make_shard_executor,
 )
 from repro.fleet.faults import FaultPlan
@@ -62,6 +68,9 @@ from repro.fleet.telemetry import (
 )
 from repro.virt.cluster import Cluster
 from repro.virt.sandbox import SandboxEnvironment
+
+#: What a shard epoch's ``build`` hook makes of the DeepDive report.
+R = TypeVar("R")
 
 
 class FleetShard:
@@ -129,7 +138,8 @@ class FleetShard:
         analyze: bool = True,
         telemetry: Optional["TelemetryRegistry"] = None,
         epoch: int = 0,
-    ) -> EpochReport:
+        build: Optional[Callable[[EpochReport], R]] = None,
+    ) -> Union[EpochReport, R]:
         """Advance the shard by one epoch: simulate, then monitor.
 
         The steady-state baseline loads are pushed to the hosts and the
@@ -140,37 +150,41 @@ class FleetShard:
         unchanged VMs keep their host-resident load and their last proxy
         observation, exactly as in a steady fleet.
 
-        ``telemetry`` (a registry or worker-side span buffer) records
-        ``simulate``/``monitor`` spans around the two halves; ``None``
-        — the off-sample and telemetry-off case — keeps the exact
-        untimed path.
+        ``build`` turns DeepDive's epoch report into the shard's result
+        (the executors pass the columnar report builder); it runs as
+        part of the monitoring half.  ``telemetry`` (a registry or
+        worker-side span buffer) records ``simulate``/``monitor`` spans
+        around the two halves; ``None`` — the off-sample and
+        telemetry-off case — keeps the exact untimed path.
         """
+        loads = None
         if self.baseline_loads != self._pushed_loads:
             pushed = self._pushed_loads
             if pushed is None:
-                delta = dict(self.baseline_loads)
+                loads = dict(self.baseline_loads)
             else:
-                delta = {
+                loads = {
                     name: load
                     for name, load in self.baseline_loads.items()
                     if pushed.get(name) != load
                 }
             self._pushed_loads = dict(self.baseline_loads)
-            if delta:
-                if telemetry is None:
-                    self.cluster.step(loads=delta)
-                    return self.deepdive.run_epoch(loads=delta, analyze=analyze)
-                with telemetry.span("simulate", epoch):
-                    self.cluster.step(loads=delta)
-                with telemetry.span("monitor", epoch):
-                    return self.deepdive.run_epoch(loads=delta, analyze=analyze)
         if telemetry is None:
-            self.cluster.step()
-            return self.deepdive.run_epoch(analyze=analyze)
+            self.cluster.step(loads=loads)
+            return self._monitor(analyze, loads, build)
         with telemetry.span("simulate", epoch):
-            self.cluster.step()
+            self.cluster.step(loads=loads)
         with telemetry.span("monitor", epoch):
-            return self.deepdive.run_epoch(analyze=analyze)
+            return self._monitor(analyze, loads, build)
+
+    def _monitor(
+        self,
+        analyze: bool,
+        loads: Optional[Mapping[str, float]],
+        build: Optional[Callable[[EpochReport], R]],
+    ) -> Union[EpochReport, R]:
+        report = self.deepdive.run_epoch(loads=loads, analyze=analyze)
+        return report if build is None else build(report)
 
     # ------------------------------------------------------------------
     def detections(self) -> List[InterferenceDetectedEvent]:
@@ -196,7 +210,7 @@ class FleetEpochReport:
         return bool(self.missing_shards)
 
     def observations(self) -> int:
-        return sum(len(r.observations) for r in self.shard_reports.values())
+        return sum(len(r.vm_names) for r in self.shard_reports.values())
 
     def analyzer_invocations(self) -> int:
         return sum(r.analyzer_invocations() for r in self.shard_reports.values())
@@ -210,28 +224,19 @@ class FleetEpochReport:
         ]
 
     def confirmed_count(self) -> int:
-        """Number of confirmed-interference observations this epoch.
-
-        Counted in one pass over the per-shard observations — unlike
-        ``len(confirmed_interference())`` no (shard, VM) tuple list is
-        materialised, which matters on the summary hot loop where the
-        region layer multiplies shard counts.
-        """
+        """Number of confirmed-interference observations this epoch,
+        counted off the reports' columns (no (shard, VM) tuple list)."""
         return sum(
-            1
+            int(np.count_nonzero(report.confirmed))
             for report in self.shard_reports.values()
-            for obs in report.observations.values()
-            if obs.interference_confirmed
         )
 
     def action_histogram(self) -> Dict[str, int]:
         """Warning-action counts across the whole fleet."""
-        histogram: Dict[str, int] = {}
+        counts = np.zeros(len(WARNING_ACTIONS), dtype=np.int64)
         for report in self.shard_reports.values():
-            for observation in report.observations.values():
-                key = observation.warning.action.value
-                histogram[key] = histogram.get(key, 0) + 1
-        return histogram
+            counts += np.bincount(report.action_codes, minlength=len(WARNING_ACTIONS))
+        return count_histogram(counts)
 
 
 @dataclass

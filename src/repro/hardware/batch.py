@@ -184,30 +184,39 @@ class ClusterLayout:
         ``h * cache_domains + local_domain`` so domains never alias
         across hosts.
         """
-        host_ids: List[np.ndarray] = []
-        n_cores: List[np.ndarray] = []
-        pair_vm: List[np.ndarray] = []
-        pair_domain: List[np.ndarray] = []
-        pair_weight: List[np.ndarray] = []
-        offset = 0
-        for h, plan in enumerate(plans):
-            host_ids.append(np.full(plan.n_vms, h, dtype=np.intp))
-            n_cores.append(plan.n_cores)
-            pair_vm.append(plan.pair_vm + offset)
-            pair_domain.append(plan.pair_domain + h * cache_domains)
-            pair_weight.append(plan.pair_weight)
-            offset += plan.n_vms
-        concat = lambda parts, dtype: (  # noqa: E731 - local helper
-            np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+        n_hosts = len(plans)
+        if not n_hosts:
+            empty_int = np.empty(0, dtype=np.intp)
+            return cls(
+                host_of_vm=empty_int,
+                n_cores=np.empty(0, dtype=float),
+                pair_vm=empty_int,
+                pair_domain=empty_int,
+                pair_weight=np.empty(0, dtype=float),
+                n_hosts=0,
+                n_domains=0,
+            )
+        hosts = np.arange(n_hosts, dtype=np.intp)
+        vm_counts = np.fromiter(
+            (plan.n_vms for plan in plans), dtype=np.intp, count=n_hosts
         )
+        pair_vm = np.concatenate([plan.pair_vm for plan in plans])
+        pair_host = np.repeat(
+            hosts,
+            np.fromiter(
+                (plan.pair_vm.size for plan in plans), dtype=np.intp, count=n_hosts
+            ),
+        )
+        offsets = np.cumsum(vm_counts) - vm_counts
         return cls(
-            host_of_vm=concat(host_ids, np.intp),
-            n_cores=concat(n_cores, float),
-            pair_vm=concat(pair_vm, np.intp),
-            pair_domain=concat(pair_domain, np.intp),
-            pair_weight=concat(pair_weight, float),
-            n_hosts=len(plans),
-            n_domains=len(plans) * cache_domains,
+            host_of_vm=np.repeat(hosts, vm_counts),
+            n_cores=np.concatenate([plan.n_cores for plan in plans]),
+            pair_vm=pair_vm + offsets[pair_host],
+            pair_domain=np.concatenate([plan.pair_domain for plan in plans])
+            + pair_host * cache_domains,
+            pair_weight=np.concatenate([plan.pair_weight for plan in plans]),
+            n_hosts=n_hosts,
+            n_domains=n_hosts * cache_domains,
         )
 
 

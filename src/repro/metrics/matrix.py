@@ -71,7 +71,7 @@ class MetricMatrix:
             )
         if len(self.labels) != len(self.vm_names):
             raise ValueError("labels and vm_names must have equal length")
-        self._index = {name: i for i, name in enumerate(self.vm_names)}
+        self._index = dict(zip(self.vm_names, range(len(self.vm_names))))
         if len(self._index) != len(self.vm_names):
             raise ValueError("vm_names must be unique")
 

@@ -14,8 +14,8 @@ otherwise columnar pipeline.  This module removes it:
   (:class:`CounterHistoryView` / :class:`LazyCounterHistory`) that
   materialises ``CounterSample`` objects only when a scalar path, a
   report or an example actually indexes it.
-* Window consumers (``Cluster.counter_window_view``, the fleet
-  executor's counter totals) read window slices straight from the ring.
+* Window consumers (``Cluster.counter_window_view``) read window
+  slices straight from the ring.
 
 Equivalence contract
 --------------------
@@ -513,9 +513,12 @@ class HostCounterStore:
     def latest_block(self) -> Optional[np.ndarray]:
         """The newest ring epoch's ``(n_vms, N_COUNTERS)`` rows, or None.
 
-        Serves fleet-level telemetry (per-shard counter totals) without
-        touching per-VM state; None when no batch epoch is resident
-        (scalar substrate, or a scalar epoch flushed the ring).
+        None when no batch epoch is resident (scalar substrate, or a
+        scalar epoch flushed the ring).  The fleet's per-shard counter
+        totals are computed from the cluster's step block instead
+        (:meth:`~repro.virt.cluster.Cluster.step_host_sums`); folding
+        these blocks host by host is the reference they are tested
+        against.
         """
         if self._ring_names is None or self._appended == 0:
             return None

@@ -23,7 +23,9 @@ by ``tests/property/test_substrate_equivalence.py``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -57,20 +59,44 @@ class CounterWindowView:
     vm_names: Tuple[str, ...]
     latest: np.ndarray
     window_sum: np.ndarray
-    index: Dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.index = {name: i for i, name in enumerate(self.vm_names)}
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        """Row of each VM (built on first use)."""
+        return dict(zip(self.vm_names, range(len(self.vm_names))))
 
     def __contains__(self, vm_name: str) -> bool:
         return vm_name in self.index
 
+
+#: Where one batch group's hosts sit in its counter matrix: each host's
+#: index in cluster host order, its VM count, and a ``(width, hosts)``
+#: index array whose column ``h`` lists host ``h``'s rows, padded with
+#: the index one past the matrix's last row (the zero row
+#: :meth:`Cluster.step_host_sums` appends).
+HostRowPlan = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_ZERO_ROW = np.zeros((1, N_COUNTERS), dtype=float)
+
+_PLACEMENT_VERSION = attrgetter("placement_version")
 
 #: One batch-substrate execution group: hosts sharing a machine spec and
 #: epoch length, with their assembled cluster layout.
 BatchGroup = Tuple[
     MachineSpec, float, List[Tuple[str, "Host", Tuple[str, ...]]], ClusterLayout
 ]
+
+
+def _host_row_plan(
+    order: Mapping[str, int], members: List[Tuple[str, "Host", Tuple[str, ...]]]
+) -> HostRowPlan:
+    """Row layout of one batch group (see :data:`HostRowPlan`)."""
+    positions = np.asarray([order[name] for name, _, _ in members], dtype=np.intp)
+    counts = np.asarray([len(names) for _, _, names in members], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    width = np.arange(int(counts.max(initial=0)))[:, None]
+    rows = np.where(width < counts, starts + width, counts.sum())
+    return positions, counts, rows
 
 
 class Cluster:
@@ -122,7 +148,7 @@ class Cluster:
         self.drained_hosts: set = set()
         self.current_epoch = 0
         #: Cached VM -> (host, VM) placement map plus the placement
-        #: signature it was built at (see :meth:`_placement_signature`).
+        #: signature it was built at (see :meth:`placement_signature`).
         self._placement_cache: Optional[Dict[str, Tuple[str, VirtualMachine]]] = None
         self._placement_signature_cached: Tuple[int, int] = (-1, -1)
         #: Cached batch-substrate spec groups + assembled layouts.
@@ -135,6 +161,15 @@ class Cluster:
         #: Hosts already warned about a history_limit shorter than a
         #: requested monitoring window (one warning per host).
         self._short_history_warned: set = set()
+        #: Row layout of each batch group's hosts plus which hosts held
+        #: VMs, rebuilt with the groups.
+        self._host_row_plans: Tuple[List[HostRowPlan], np.ndarray] = (
+            [],
+            np.zeros(0, dtype=bool),
+        )
+        #: The latest batch step's counter blocks: ``(placement
+        #: signature, row plans, one counter matrix per group)``.
+        self._last_step: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Topology management
@@ -180,22 +215,19 @@ class Cluster:
             raise KeyError(f"VM {vm_name!r} not placed in the cluster")
         return self.hosts[host_name].remove_vm(vm_name)
 
-    def _placement_signature(self) -> Tuple[int, int]:
+    def placement_signature(self) -> Tuple[int, int]:
         """Cheap fingerprint of the cluster's placement state.
 
         Host placement versions only ever increase, so any VM add/remove
         (including the two sides of a migration) changes the sum; the
         host count covers :meth:`add_host`.
         """
-        return (
-            len(self.hosts),
-            sum(host.placement_version for host in self.hosts.values()),
-        )
+        return (len(self.hosts), sum(map(_PLACEMENT_VERSION, self.hosts.values())))
 
     def _placement(self) -> Dict[str, Tuple[str, VirtualMachine]]:
         """The cached VM -> (host name, VM) map, rebuilt only when the
         placement changed (migrations, added hosts/VMs)."""
-        signature = self._placement_signature()
+        signature = self.placement_signature()
         if (
             self._placement_cache is None
             or signature != self._placement_signature_cached
@@ -272,7 +304,7 @@ class Cluster:
         self.current_epoch += 1
         return results
 
-    def _batch_group_plan(self) -> List[BatchGroup]:
+    def _batch_group_plan(self, placement: Tuple[int, int]) -> List[BatchGroup]:
         """The (cached) spec groups and assembled layouts of the cluster.
 
         Rebuilt only when the placement changes: layouts depend on the
@@ -281,7 +313,7 @@ class Cluster:
         heterogeneous clusters simply split into a few batches.
         """
         signature = (
-            self._placement_signature(),
+            placement,
             tuple(host.epoch_seconds for host in self.hosts.values()),
         )
         if self._batch_groups is not None and self._batch_groups[0] == signature:
@@ -303,6 +335,12 @@ class Cluster:
             layout = ClusterLayout.assemble(plans, spec.architecture.cache_domains)
             built.append((spec, epoch_seconds, with_names, layout))
         self._batch_groups = (signature, built)
+        order = {name: i for i, name in enumerate(self.hosts)}
+        plans = [_host_row_plan(order, members) for _, _, members, _ in built]
+        populated = np.zeros(len(self.hosts), dtype=bool)
+        for positions, counts, _ in plans:
+            populated[positions] = counts > 0
+        self._host_row_plans = (plans, populated)
         return built
 
     def _step_batch(
@@ -312,9 +350,10 @@ class Cluster:
         for host_name, host in self.hosts.items():
             host.collect_demand_rows(per_host_loads.get(host_name))
         results: Dict[str, Dict[str, VMPerformance]] = {}
-        for g, (spec, epoch_seconds, members, layout) in enumerate(
-            self._batch_group_plan()
-        ):
+        signature = self.placement_signature()
+        groups = self._batch_group_plan(signature)
+        step_counters: List[np.ndarray] = []
+        for g, (spec, epoch_seconds, members, layout) in enumerate(groups):
             cached = self._batch_matrix_cache.get(g)
             if cached is None or any(host.demands_changed for _, host, _ in members):
                 tables = [host.demand_row_matrix() for _, host, _ in members]
@@ -343,6 +382,7 @@ class Cluster:
                 noise_rngs,
                 buffers=buffers,
             )
+            step_counters.append(batch.counters)
 
             offset = 0
             for host_name, host, names in members:
@@ -369,7 +409,54 @@ class Cluster:
                     host.commit_epoch_block(names, block)
                     results[host_name] = {}
                 offset += k
+        self._last_step = (signature, self._host_row_plans, step_counters)
         return results
+
+    def step_host_sums(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Per-host totals of the latest batch step's counter block.
+
+        Returns ``(sums, populated)`` in host order: ``populated[h]``
+        says whether host ``h`` holds VMs *now* (a migration after the
+        step may have emptied or filled it) and ``sums[h]`` adds up its
+        rows of the step's counter matrix in row order — exactly
+        ``block.sum(axis=0)`` of the block its counter store ingested —
+        or is zero when the host holds no VMs now.  ``None`` when a
+        populated host has no block from a batch step (scalar
+        substrate, not stepped yet, or added since).
+        """
+        n_hosts = len(self.hosts)
+        sums = np.zeros((n_hosts, N_COUNTERS), dtype=float)
+        record = self._last_step
+        if record is not None and record[0] == self.placement_signature():
+            populated = record[1][1]
+        else:
+            populated = np.fromiter(
+                (bool(host._vms) for host in self.hosts.values()),
+                dtype=bool,
+                count=n_hosts,
+            )
+            stepped = 0 if record is None else record[0][0]
+            if populated[stepped:].any():
+                return None
+            if record is None:
+                return sums, populated
+        _, (plans, _), counters = record
+        for (positions, _, rows), block in zip(plans, counters):
+            # Row position j of every host at once; zero padding adds
+            # nothing, so each host's rows are summed in row order.
+            padded = np.concatenate((block, _ZERO_ROW))[rows]
+            if positions.size == n_hosts:
+                # One group holds every host, in host order.
+                for rows_j in padded:
+                    sums += rows_j
+                continue
+            acc = np.zeros((positions.size, N_COUNTERS), dtype=float)
+            for rows_j in padded:
+                acc += rows_j
+            sums[positions] = acc
+        if populated is not record[1][1]:
+            sums[~populated] = 0.0
+        return sums, populated
 
     # ------------------------------------------------------------------
     # Migration

@@ -37,6 +37,9 @@ from repro.fleet.shm import (
 )
 from repro.fleet.supervisor import FaultPolicy
 from repro.hardware.batch import N_COUNTERS
+from repro.virt.cluster import Cluster
+from repro.virt.vm import VirtualMachine
+from repro.workloads.cloud import DataServingWorkload
 
 
 def _config() -> DeepDiveConfig:
@@ -274,36 +277,44 @@ class TestOrderedMergeValidation:
         assert not executor._broken
 
 
-def _host(vms, block):
-    store = SimpleNamespace(latest_block=lambda block=block: block)
-    return SimpleNamespace(vms=vms, counter_store=store)
-
-
-def _stub_shard(hosts):
-    return SimpleNamespace(cluster=SimpleNamespace(hosts=hosts))
+def _stub_shard(substrate="batch", vms_per_host=(1, 1), step=True):
+    """A shard stand-in around a real cluster (the totals read only it)."""
+    cluster = Cluster(
+        num_hosts=len(vms_per_host),
+        seed=5,
+        substrate=substrate,
+        track_performance=False,
+    )
+    for h, count in enumerate(vms_per_host):
+        for j in range(count):
+            cluster.place_vm(
+                VirtualMachine(f"vm{h}-{j}", DataServingWorkload()), f"pm{h}", load=0.5
+            )
+    if step:
+        cluster.step()
+    return SimpleNamespace(cluster=cluster)
 
 
 class TestCounterTotalsContract:
     def test_emptied_out_shard_reports_explicit_zeros(self):
-        """Mass departures leave zeros, not 'telemetry unavailable'."""
-        shard = _stub_shard(
-            {
-                "h0": _host(vms={}, block=None),
-                "h1": _host(vms={}, block=np.ones((1, N_COUNTERS))),
-            }
-        )
+        """Mass departures leave zeros, not 'telemetry unavailable' —
+        also when the departed VMs' rows are still the hosts' newest
+        counter block."""
+        shard = _stub_shard(vms_per_host=(0, 1))
+        shard.cluster.remove_vm("vm1-0")
+        totals = _shard_counter_totals(shard)
+        assert totals is not None
+        assert np.array_equal(totals, np.zeros(N_COUNTERS))
+        shard.cluster.step()
         totals = _shard_counter_totals(shard)
         assert totals is not None
         assert np.array_equal(totals, np.zeros(N_COUNTERS))
 
     def test_populated_host_without_block_is_unavailable(self):
-        shard = _stub_shard(
-            {
-                "h0": _host(vms={"vm": object()}, block=None),
-                "h1": _host(vms={"vm2": object()}, block=np.ones((1, N_COUNTERS))),
-            }
-        )
+        shard = _stub_shard(substrate="scalar")
         assert _shard_counter_totals(shard) is None
+        never_stepped = _stub_shard(step=False)
+        assert _shard_counter_totals(never_stepped) is None
 
     def test_fleet_totals_skip_unavailable_shards(self):
         """One scalar-substrate shard must not null every other shard's
@@ -332,6 +343,22 @@ class TestCounterTotalsContract:
         assert np.allclose(
             report.counter_totals(), a.counter_totals + b.counter_totals
         )
+
+
+class TestDispatchPing:
+    def test_ping_is_a_real_worker_round_trip(self):
+        """``ping`` waits on a task in every worker, so it takes real
+        time (unlike reading the cached pids), and the fleet runs on."""
+        fleet = _tiny_process_fleet(max_workers=2, num_vms=16)
+        try:
+            strategy = fleet._shard_strategy()
+            roundtrips = [strategy.ping() for _ in range(3)]
+            assert all(0.0 < seconds < 5.0 for seconds in roundtrips)
+            report = fleet.run_epoch(options=RunOptions(analyze=False))
+            assert report.observations() == 16
+        finally:
+            fleet.shutdown()
+        assert leaked_segments() == []
 
 
 class TestWorkerFailureRecovery:
